@@ -43,21 +43,24 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-## fuzz-smoke runs the WAL-replay and block-decode fuzzers for short,
-## bounded bursts: long enough to shake out regressions in the torn-tail /
-## mid-log corruption contract and the untrusted-block parsing contract,
-## short enough for every pre-merge run.
+## fuzz-smoke runs the WAL-replay, block-decode and visit-skim fuzzers
+## for short, bounded bursts: long enough to shake out regressions in the
+## torn-tail / mid-log corruption contract, the untrusted-block parsing
+## contract and the skim-equals-full-decode contract, short enough for
+## every pre-merge run.
 fuzz-smoke:
 	$(GO) test ./internal/kvstore -run FuzzReplayWAL -fuzz FuzzReplayWAL -fuzztime=10s
 	$(GO) test ./internal/kvstore -run FuzzBlockDecode -fuzz FuzzBlockDecode -fuzztime=5s
 	$(GO) test ./internal/kvstore -run FuzzLZDecompress -fuzz FuzzLZDecompress -fuzztime=5s
+	$(GO) test ./internal/model -run FuzzSkimVisitBinary -fuzz FuzzSkimVisitBinary -fuzztime=5s
 
 bench:
 	$(GO) run ./cmd/modissense-bench -exp all -quick
 
 ## bench-smoke runs the scan-kernel and coprocessor read-path
-## microbenchmarks a fixed small number of iterations — it verifies the
-## benchmarks still build and run, not their timings — then scrapes
+## microbenchmarks (memtable-only and over flushed segments) a fixed small
+## number of iterations — it verifies the benchmarks still build and run,
+## not their timings — then scrapes
 ## GET /metrics after live API traffic into BENCH_metrics.json, runs the
 ## seeded fault-injection workload into BENCH_faults.json, the
 ## primary-kill failover workload into BENCH_failover.json, and runs the
@@ -73,6 +76,7 @@ bench-smoke:
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkScanPath' -benchmem -benchtime=100x
 	$(GO) test ./internal/kvstore -run XXX -bench 'BenchmarkMergeIterator' -benchmem -benchtime=50x
 	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessor200' -benchmem -benchtime=100x
+	$(GO) test ./internal/query -run XXX -bench 'BenchmarkCoprocessorSegments' -benchmem -benchtime=100x
 	$(GO) run ./cmd/modissense-bench -exp metrics -quick
 	$(GO) run ./cmd/modissense-bench -exp faults -quick
 	$(GO) run ./cmd/modissense-bench -exp failover -quick

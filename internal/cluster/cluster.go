@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 
 	"modissense/internal/sim"
 )
@@ -45,8 +46,12 @@ func DefaultConfig(nodes int) Config {
 }
 
 // Cluster is a simulated deployment: an engine, one Resource per worker
-// node and one per web server.
+// node and one per web server. The engine and resources are
+// single-goroutine; concurrent users run each schedule-plus-Run section
+// through Simulate.
 type Cluster struct {
+	// mu serializes Simulate sections.
+	mu      sync.Mutex
 	cfg     Config
 	eng     *sim.Engine
 	nodes   []*sim.Resource
@@ -123,6 +128,21 @@ func (c *Cluster) PickWebServer() *sim.Resource {
 	w := c.web[c.nextWeb%len(c.web)]
 	c.nextWeb++
 	return w
+}
+
+// Simulate runs one schedule-plus-Run section while holding the cluster's
+// lock: schedule submits work to the resources, then Run drains it.
+// Requests served concurrently thus never drive the single-goroutine
+// simulation engine from two goroutines at once. Keep real work, such as a
+// query's scatter, out of schedule.
+func (c *Cluster) Simulate(schedule func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := schedule(); err != nil {
+		return err
+	}
+	_, err := c.Run()
+	return err
 }
 
 // Run drains the event queue and returns the final simulated time.

@@ -216,26 +216,6 @@ func SetDefaultWorkers(n int) {
 	defaultPool.Store(NewPool(n))
 }
 
-// Stats is the per-query statistics collector. It lives in internal/obs as
-// QueryStats so storage code can report into it without importing the
-// execution engine; the aliases below keep the historical exec API intact.
-type Stats = obs.QueryStats
-
-// Snapshot is an immutable copy of Stats for reporting.
-type Snapshot = obs.QuerySnapshot
-
-// WithStats attaches a Stats collector to the context; Gather and
-// cancellation-aware scans report into it.
-func WithStats(ctx context.Context, s *Stats) context.Context {
-	return obs.WithQueryStats(ctx, s)
-}
-
-// StatsFrom returns the context's Stats collector, or nil when none is
-// attached (nil is safe to use with every Stats method).
-func StatsFrom(ctx context.Context) *Stats {
-	return obs.QueryStatsFrom(ctx)
-}
-
 // Gather runs every task on the pool and returns their results in task
 // order. It never aborts on the first failure: every task either runs or —
 // once ctx is cancelled — is marked with the context error, and the returned
@@ -246,7 +226,7 @@ func (p *Pool) Gather(ctx context.Context, tasks []Task) ([]Result, error) {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	st := StatsFrom(ctx)
+	st := obs.QueryStatsFrom(ctx)
 	n := len(tasks)
 	res := make([]Result, n)
 	if n == 0 {

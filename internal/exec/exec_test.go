@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"modissense/internal/obs"
 )
 
 func TestGatherOrderingAndValues(t *testing.T) {
@@ -115,8 +117,8 @@ func TestGatherParallelism(t *testing.T) {
 		t.Skip("needs GOMAXPROCS >= 2")
 	}
 	p := NewPool(2)
-	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	// Two tasks that each wait for the other: only completes if both run
 	// concurrently on distinct worker goroutines.
 	barrier := make(chan struct{})
@@ -148,14 +150,14 @@ func TestGatherParallelism(t *testing.T) {
 }
 
 func TestStatsNilSafe(t *testing.T) {
-	var s *Stats
+	var s *obs.QueryStats
 	s.AddRows(5)
 	s.AddBytes(5)
-	if got := s.Snapshot(); got != (Snapshot{}) {
+	if got := s.Snapshot(); got != (obs.QuerySnapshot{}) {
 		t.Fatalf("nil Stats snapshot = %+v", got)
 	}
-	if StatsFrom(context.Background()) != nil {
-		t.Fatal("StatsFrom on bare context should be nil")
+	if obs.QueryStatsFrom(context.Background()) != nil {
+		t.Fatal("QueryStatsFrom on bare context should be nil")
 	}
 }
 

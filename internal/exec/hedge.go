@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"modissense/internal/obs"
 )
 
 // ErrAttemptsExhausted marks a hedged read that failed every attempt in its
@@ -212,7 +214,7 @@ type attemptResult struct {
 //
 // Cancellation accounting is exactly-once per attempt: a losing attempt
 // that observes the cancellation is recorded as a hedge-loser cancel in the
-// context's Stats; a losing attempt that completed before noticing is not
+// context's obs.QueryStats; a losing attempt that completed before noticing is not
 // recorded at all (it was never cancelled mid-task); cancellation of the
 // caller's own ctx is left to the caller's task-level accounting.
 //
@@ -230,7 +232,7 @@ func RunHedged(ctx context.Context, salt int64, replicas int, rp RetryPolicy, hp
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
-	st := StatsFrom(ctx)
+	st := obs.QueryStatsFrom(ctx)
 	actx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 

@@ -7,11 +7,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"modissense/internal/obs"
 )
 
 func TestRunHedgedFirstAttemptWins(t *testing.T) {
-	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	v, meta, err := RunHedged(ctx, 1, 2, RetryPolicy{MaxAttempts: 3}, HedgePolicy{},
 		func(ctx context.Context, attempt, replica int) (interface{}, error) {
 			return fmt.Sprintf("a%d/r%d", attempt, replica), nil
@@ -29,8 +31,8 @@ func TestRunHedgedFirstAttemptWins(t *testing.T) {
 }
 
 func TestRunHedgedRetriesAfterFailures(t *testing.T) {
-	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	boom := errors.New("boom")
 	v, meta, err := RunHedged(ctx, 7, 2, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}, HedgePolicy{},
 		func(ctx context.Context, attempt, replica int) (interface{}, error) {
@@ -70,8 +72,8 @@ func TestRunHedgedExhaustion(t *testing.T) {
 }
 
 func TestRunHedgedHedgeWinsAndLoserCancelCountsOnce(t *testing.T) {
-	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	var loserSawCancel sync.WaitGroup
 	loserSawCancel.Add(1)
 	v, meta, err := RunHedged(ctx, 1, 1,
@@ -114,8 +116,8 @@ func TestRunHedgedLoserCompletedAfterCancelNotCounted(t *testing.T) {
 	// Regression for the double-count/no-count edge: an attempt that is
 	// cancelled after it already completed must not be recorded as a
 	// cancellation.
-	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	var slowDone sync.WaitGroup
 	slowDone.Add(1)
 	v, meta, err := RunHedged(ctx, 1, 1,
@@ -164,8 +166,8 @@ func TestGatherCancelAccountingExactlyOnce(t *testing.T) {
 	// One worker, three tasks: the first blocks until the query is
 	// cancelled (counted once, mid-task), the rest are skipped before
 	// running (counted once each, pre-run). Total cancels == tasks.
-	st := &Stats{}
-	ctx, cancel := context.WithCancel(WithStats(context.Background(), st))
+	st := &obs.QueryStats{}
+	ctx, cancel := context.WithCancel(obs.WithQueryStats(context.Background(), st))
 	p := NewPool(1)
 	tasks := []Task{
 		func(ctx context.Context) (interface{}, error) {
@@ -197,8 +199,8 @@ func TestGatherCancelAccountingExactlyOnce(t *testing.T) {
 func TestGatherTaskCompletingDespiteCancelNotCounted(t *testing.T) {
 	// A task that finishes successfully even though the context was
 	// cancelled mid-flight observed no cancellation — zero cancel records.
-	st := &Stats{}
-	ctx, cancel := context.WithCancel(WithStats(context.Background(), st))
+	st := &obs.QueryStats{}
+	ctx, cancel := context.WithCancel(obs.WithQueryStats(context.Background(), st))
 	p := NewPool(1)
 	res, err := p.Gather(ctx, []Task{
 		func(ctx context.Context) (interface{}, error) {
@@ -220,8 +222,8 @@ func TestGatherTaskCompletingDespiteCancelNotCounted(t *testing.T) {
 func TestGatherTaskOwnErrorNotCountedAsCancel(t *testing.T) {
 	// A task failing with its own (non-context) error under an alive
 	// context is a failure, not a cancellation.
-	st := &Stats{}
-	ctx := WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	p := NewPool(1)
 	_, err := p.Gather(ctx, []Task{
 		func(ctx context.Context) (interface{}, error) { return nil, errors.New("boom") },

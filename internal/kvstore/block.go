@@ -3,6 +3,8 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
+	"sync"
 )
 
 // Blocked segment format. A segment's cells are packed into fixed-target-
@@ -144,8 +146,10 @@ func (b *blockBuilder) finish(codec blockCodec) (blockHandle, error) {
 		codec:  usedCodec,
 		rawLen: len(raw),
 		count:  b.count,
-		minRow: b.minRow,
-		maxRow: b.maxRow,
+		// Clone the bounds: compaction feeds the builder cells decoded
+		// from older blocks, whose keys would pin those blocks' arenas.
+		minRow: strings.Clone(b.minRow),
+		maxRow: strings.Clone(b.maxRow),
 		bloom:  bloom,
 	}, nil
 }
@@ -174,10 +178,31 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
+// blockArena is the pooled scratch a block decode rebuilds its row keys
+// and qualifiers into: buf holds the key bytes, offs four offsets per cell
+// (row start/end, qualifier start/end). It is reused across decodes, so a
+// block costs one string allocation (the finished arena) instead of one
+// per cell.
+type blockArena struct {
+	buf  []byte
+	offs []int
+}
+
+var blockArenaPool = sync.Pool{New: func() any { return new(blockArena) }}
+
+// maxPooledArena caps the scratch returned to the pool, so one oversized
+// block does not pin its buffer for the life of the process.
+const maxPooledArena = 1 << 20
+
 // decodeBlockPayload parses a decoded (decompressed) block payload back
 // into cells. Every read is bounds-checked: truncated or corrupt payloads
 // return errors, never panic (the contract FuzzBlockDecode enforces).
 // wantCells < 0 skips the count check (fuzzing arbitrary payloads).
+//
+// All cells of a block share one arena string: each Row and Qualifier is
+// a slice of it, and Values alias raw. A cell field kept past the life of
+// the decoded block (its cache entry or the scan that decoded it) pins the
+// whole arena, so long-lived structures store strings.Clone copies.
 func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("kvstore: block payload %d bytes, shorter than its trailer", len(raw))
@@ -202,11 +227,22 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 	if wantCells > 0 {
 		cells = make([]Cell, 0, wantCells)
 	}
-	prevRow := ""
+	arena := blockArenaPool.Get().(*blockArena)
+	buf, offs := arena.buf[:0], arena.offs[:0]
+	defer func() {
+		if cap(buf) <= maxPooledArena {
+			arena.buf, arena.offs = buf, offs
+			blockArenaPool.Put(arena)
+		}
+	}()
+	// The previous row and qualifier as offsets into buf. A row equal to
+	// its predecessor (several qualifiers of one row) and a repeated
+	// qualifier reuse the bytes already in buf.
+	var rowStart, rowEnd, qualStart, qualEnd int
 	off := 0
 	for off < len(entries) {
 		shared, n := binary.Uvarint(entries[off:])
-		if n <= 0 || shared > uint64(len(prevRow)) {
+		if n <= 0 || shared > uint64(rowEnd-rowStart) {
 			return nil, fmt.Errorf("kvstore: block entry %d: bad shared row length", len(cells))
 		}
 		off += n
@@ -215,7 +251,12 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 			return nil, fmt.Errorf("kvstore: block entry %d: bad unshared row length", len(cells))
 		}
 		off += n
-		row := prevRow[:shared] + string(entries[off:off+int(unshared)])
+		if unshared > 0 || int(shared) < rowEnd-rowStart {
+			start := len(buf)
+			buf = append(buf, buf[rowStart:rowStart+int(shared)]...)
+			buf = append(buf, entries[off:off+int(unshared)]...)
+			rowStart, rowEnd = start, len(buf)
+		}
 		off += int(unshared)
 
 		qlen, n := binary.Uvarint(entries[off:])
@@ -223,7 +264,11 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 			return nil, fmt.Errorf("kvstore: block entry %d: bad qualifier length", len(cells))
 		}
 		off += n
-		qual := string(entries[off : off+int(qlen)])
+		if qual := entries[off : off+int(qlen)]; string(qual) != string(buf[qualStart:qualEnd]) {
+			qualStart = len(buf)
+			buf = append(buf, qual...)
+			qualEnd = len(buf)
+		}
 		off += int(qlen)
 
 		ts, n := binary.Varint(entries[off:])
@@ -253,11 +298,17 @@ func decodeBlockPayload(raw []byte, wantCells int) ([]Cell, error) {
 		}
 		off += int(vlen)
 
-		cells = append(cells, Cell{Row: row, Qualifier: qual, Timestamp: ts, Value: value, Tombstone: flags == 1})
-		prevRow = row
+		cells = append(cells, Cell{Timestamp: ts, Value: value, Tombstone: flags == 1})
+		offs = append(offs, rowStart, rowEnd, qualStart, qualEnd)
 	}
 	if wantCells >= 0 && len(cells) != wantCells {
 		return nil, fmt.Errorf("kvstore: block decoded %d cells, want %d", len(cells), wantCells)
+	}
+	keys := string(buf)
+	for i := range cells {
+		o := offs[4*i : 4*i+4]
+		cells[i].Row = keys[o[0]:o[1]]
+		cells[i].Qualifier = keys[o[2]:o[3]]
 	}
 	return cells, nil
 }

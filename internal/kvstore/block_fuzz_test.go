@@ -47,13 +47,29 @@ func FuzzBlockDecode(f *testing.F) {
 		}
 		// Whatever decoded must be internally consistent: values sliced from
 		// the payload, never out of bounds (the decoder would have panicked
-		// otherwise), and re-encodable.
+		// otherwise), and re-encodable to a block that decodes to the same
+		// keys, timestamps and values.
 		var rb blockBuilder
 		for i := range cells {
 			rb.add(&cells[i])
 		}
 		if rb.count != len(cells) {
 			t.Fatalf("re-encode count %d, want %d", rb.count, len(cells))
+		}
+		h, err := rb.finish(codecNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeBlockPayload(h.data, len(cells))
+		if err != nil {
+			t.Fatalf("re-encoded block does not decode: %v", err)
+		}
+		for i := range cells {
+			a, b := &cells[i], &again[i]
+			if a.Row != b.Row || a.Qualifier != b.Qualifier || a.Timestamp != b.Timestamp ||
+				a.Tombstone != b.Tombstone || !bytes.Equal(a.Value, b.Value) {
+				t.Fatalf("cell %d changed across re-encode: %+v vs %+v", i, *a, *b)
+			}
 		}
 	})
 }

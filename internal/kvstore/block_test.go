@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -55,6 +56,61 @@ func TestBlockRoundtripAllCodecs(t *testing.T) {
 				!bytes.Equal(got[i].Value, cells[i].Value) {
 				t.Fatalf("codec %d: cell %d mismatch: got %v, want %v", codec, i, got[i], cells[i])
 			}
+		}
+	}
+}
+
+// TestBlockDecodeKeysAcrossRestarts checks every decoded Row and Qualifier
+// against the encoded cell when rows grow, shrink, repeat and share
+// prefixes of every length on both sides of restart points.
+func TestBlockDecodeKeysAcrossRestarts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	seen := map[string]bool{"": true}
+	rows := []string{""}
+	for len(rows) < 40 {
+		// Extend, truncate or branch a random earlier row, so shared
+		// prefixes range from zero to the whole previous key.
+		base := rows[rng.Intn(len(rows))]
+		r := base[:rng.Intn(len(base)+1)] + string(rune('a'+rng.Intn(3)))
+		if rng.Intn(4) == 0 {
+			r += fmt.Sprintf("/user/%04d", rng.Intn(20))
+		}
+		if !seen[r] {
+			seen[r] = true
+			rows = append(rows, r)
+		}
+	}
+	sort.Strings(rows)
+	var cells []Cell
+	for _, r := range rows {
+		for q, n := 0, 1+rng.Intn(3); q < n; q++ {
+			for v := 0; v < 1+rng.Intn(2); v++ {
+				cells = append(cells, Cell{Row: r, Qualifier: []string{"", "v", "visit"}[q], Timestamp: int64(10 - v), Value: []byte{byte(v)}})
+			}
+		}
+	}
+	var b blockBuilder
+	for i := range cells {
+		b.add(&cells[i])
+	}
+	if len(b.restarts) < 4 {
+		t.Fatalf("only %d restart points; the test needs several", len(b.restarts))
+	}
+	h, err := b.finish(codecNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeBlockHandle(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cells) {
+		t.Fatalf("decoded %d cells, want %d", len(got), len(cells))
+	}
+	for i := range cells {
+		if got[i].Row != cells[i].Row || got[i].Qualifier != cells[i].Qualifier || got[i].Timestamp != cells[i].Timestamp {
+			t.Fatalf("cell %d (restart point: %v): got (%q, %q, %d), want (%q, %q, %d)", i, i%blockRestartInterval == 0,
+				got[i].Row, got[i].Qualifier, got[i].Timestamp, cells[i].Row, cells[i].Qualifier, cells[i].Timestamp)
 		}
 	}
 }

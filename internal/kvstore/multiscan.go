@@ -110,6 +110,9 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 	}
 	st := obs.QueryStatsFrom(ctx)
 	scanStart := time.Now()
+	// One child span per store-level multiscan keeps the per-scan block
+	// accounting out of the (append-only) parent attrs.
+	span := obs.SpanFromContext(ctx).Child("kvstore.multiscan")
 	done := ctx.Done()
 	if asOf == 0 {
 		asOf = int64(1) << 62
@@ -133,15 +136,12 @@ func (s *Store) MultiScanCtx(ctx context.Context, ranges []ScanRange, asOf int64
 		mBytesScanned.Add(deliveredBytes)
 		mSegsPruned.Add(int64(pruned))
 		mMultiScanLatency.ObserveDuration(time.Since(scanStart))
-		if sp := obs.SpanFromContext(ctx); sp != nil {
-			// One child span per store-level multiscan keeps the per-scan
-			// block accounting out of the (append-only) parent attrs.
-			c := sp.Child("kvstore.multiscan")
-			c.SetAttrInt("blocks_decoded", bs.decoded)
-			c.SetAttrInt("blocks_cache_hits", bs.cacheHits)
-			c.SetAttrInt("blocks_skipped", bs.skipped)
-			c.SetAttrInt("segments_pruned", int64(pruned))
-			c.End()
+		if span != nil {
+			span.SetAttrInt("blocks_decoded", bs.decoded)
+			span.SetAttrInt("blocks_cache_hits", bs.cacheHits)
+			span.SetAttrInt("blocks_skipped", bs.skipped)
+			span.SetAttrInt("segments_pruned", int64(pruned))
+			span.End()
 		}
 	}()
 	res := RowResult{}

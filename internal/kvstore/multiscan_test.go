@@ -10,7 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"modissense/internal/exec"
+	"modissense/internal/obs"
 )
 
 // copyRow deep-copies a RowResult (MultiScanCtx reuses the backing slice).
@@ -149,7 +149,7 @@ func TestMultiScanEarlyStopAndCancel(t *testing.T) {
 }
 
 // TestMultiScanStatsBatched checks delivered rows reach the context's
-// exec.Stats in one batch.
+// obs.QueryStats in one batch.
 func TestMultiScanStatsBatched(t *testing.T) {
 	s := newTestStore(t)
 	for i := 0; i < 100; i++ {
@@ -157,8 +157,8 @@ func TestMultiScanStatsBatched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := &exec.Stats{}
-	ctx := exec.WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	if err := s.MultiScanCtx(ctx, []ScanRange{{"r00010", "r00020"}, {"r00050", "r00055"}}, 0, func(RowResult) bool { return true }); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -482,9 +483,9 @@ func (t *Table) ExecCoprocessor(cp Coprocessor) ([]RegionResult, error) {
 // key order regardless of completion order — byte-identical to the
 // sequential path. Per-region failures land in RegionResult.Err and are
 // also joined into the returned error; no first-error abort, so every
-// region's outcome is always reported. When ctx carries an exec.Stats (see
-// exec.WithStats) the fan-out's parallelism and row counts are recorded
-// there.
+// region's outcome is always reported. When ctx carries an
+// obs.QueryStats (see obs.WithQueryStats) the fan-out's parallelism and
+// row counts are recorded there.
 func (t *Table) ExecCoprocessorCtx(ctx context.Context, cp Coprocessor) ([]RegionResult, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("kvstore: nil coprocessor")
@@ -595,14 +596,19 @@ func (t *Table) SplitRegion(splitKey string) error {
 }
 
 // rawCells returns every stored cell (all versions, tombstones included) in
-// sorted order. Used by region splits.
+// sorted order. Used by region splits and replica seeding, which apply the
+// cells into new stores; keys are cloned so those stores do not pin the
+// decoded blocks' shared key arenas.
 func (s *Store) rawCells() []Cell {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	merged := newMergeIterator(s.iteratorsLocked(nil, nil))
 	var out []Cell
 	for merged.valid() {
-		out = append(out, *merged.cell())
+		c := *merged.cell()
+		c.Row = strings.Clone(c.Row)
+		c.Qualifier = strings.Clone(c.Qualifier)
+		out = append(out, c)
 		merged.next()
 	}
 	return out

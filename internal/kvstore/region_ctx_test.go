@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"modissense/internal/exec"
+	"modissense/internal/obs"
 )
 
 // pausingCoprocessor counts rows like countingCoprocessor but parks at a
@@ -176,8 +176,8 @@ func TestExecCoprocessorCtxRunsRegionsInParallel(t *testing.T) {
 		t.Skip("needs GOMAXPROCS >= 2")
 	}
 	tbl := newTestTable(t, []string{"m"}, 2)
-	st := &exec.Stats{}
-	ctx := exec.WithStats(context.Background(), st)
+	st := &obs.QueryStats{}
+	ctx := obs.WithQueryStats(context.Background(), st)
 	cp := barrierCoprocessor{arrivals: &atomic.Int32{}, barrier: make(chan struct{})}
 	if _, err := tbl.ExecCoprocessorCtx(ctx, cp); err != nil {
 		t.Fatal(err)

@@ -304,34 +304,39 @@ func (j *Job) run(c *cluster.Cluster) (*Result, error) {
 }
 
 // simulateSchedule replays the task graph on the simulated cluster and
-// returns the makespan.
+// returns the makespan. It holds the cluster's simulation lock, since the
+// cluster may be shared with concurrently served queries.
 func (j *Job) simulateSchedule(c *cluster.Cluster, maps []*mapTaskOutput, partitions [][]Pair) (float64, error) {
 	cost := c.Config().Cost
-	var finishMax float64
-	for i, m := range maps {
-		service := cost.MapTaskServiceTime(m.records)
-		finish, err := c.Node(i).Submit(0, service, nil)
-		if err != nil {
-			return 0, err
+	var jobEnd float64
+	err := c.Simulate(func() error {
+		var finishMax float64
+		for i, m := range maps {
+			service := cost.MapTaskServiceTime(m.records)
+			finish, err := c.Node(i).Submit(0, service, nil)
+			if err != nil {
+				return err
+			}
+			if finish > finishMax {
+				finishMax = finish
+			}
 		}
-		if finish > finishMax {
-			finishMax = finish
-		}
-	}
-	mapsDone := finishMax
+		mapsDone := finishMax
 
-	jobEnd := mapsDone
-	for p, pairs := range partitions {
-		service := cost.ReduceTaskServiceTime(len(pairs))
-		finish, err := c.Node(p).Submit(mapsDone, service, nil)
-		if err != nil {
-			return 0, err
+		jobEnd = mapsDone
+		for p, pairs := range partitions {
+			service := cost.ReduceTaskServiceTime(len(pairs))
+			finish, err := c.Node(p).Submit(mapsDone, service, nil)
+			if err != nil {
+				return err
+			}
+			if finish > jobEnd {
+				jobEnd = finish
+			}
 		}
-		if finish > jobEnd {
-			jobEnd = finish
-		}
-	}
-	if _, err := c.Run(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
 	return jobEnd, nil

@@ -37,9 +37,11 @@ type cacheShard struct {
 // query spec. It is a sharded LRU bounded by bytes, with two pieces of
 // invalidation state shared across shards:
 //
-//   - an index from friend (user) id to the cache keys whose friend set
-//     contains it, so a check-in write removes exactly the results it
-//     stales;
+//   - an index from friend (user) id to the cache entries whose friend
+//     set contains it, so a check-in write removes exactly the results it
+//     stales. It holds entry pointers, not keys: a key spells out the
+//     whole friend list, so hashing it once per friend would make
+//     registering a search quadratic in its friend count;
 //   - a monotone epoch per friend, bumped on every invalidating write
 //     while a query holds a Snapshot of that friend.
 //
@@ -64,7 +66,7 @@ type ResultCache struct {
 	// indexMu guards byFriend, epochs and pending. Lock order: indexMu
 	// before any shard mu; Get takes only the shard mu.
 	indexMu  sync.Mutex
-	byFriend map[int64]map[string]struct{}
+	byFriend map[int64]map[*entry]struct{}
 	epochs   map[int64]uint64
 	pending  map[int64]int
 }
@@ -76,7 +78,7 @@ func NewResultCache(maxBytes int64) *ResultCache {
 	}
 	c := &ResultCache{
 		shardBytes: maxBytes / cacheShards,
-		byFriend:   map[int64]map[string]struct{}{},
+		byFriend:   map[int64]map[*entry]struct{}{},
 		epochs:     map[int64]uint64{},
 		pending:    map[int64]int{},
 	}
@@ -218,12 +220,12 @@ func (c *ResultCache) StoreIfFresh(key string, snap *EpochSnapshot, value any, v
 	}
 	e := &entry{key: key, value: value, size: size, friends: friends}
 	for _, f := range friends {
-		keys := c.byFriend[f]
-		if keys == nil {
-			keys = map[string]struct{}{}
-			c.byFriend[f] = keys
+		entries := c.byFriend[f]
+		if entries == nil {
+			entries = map[*entry]struct{}{}
+			c.byFriend[f] = entries
 		}
-		keys[key] = struct{}{}
+		entries[e] = struct{}{}
 	}
 	e.elem = s.lru.PushFront(e)
 	s.items[key] = e
@@ -255,16 +257,16 @@ func (c *ResultCache) removeLocked(s *cacheShard, e *entry) {
 	c.liveEntries.Add(-1)
 }
 
-// unregisterLocked removes e's key from every friend's index set. Called
-// with indexMu held.
+// unregisterLocked removes e from every friend's index set. Called with
+// indexMu held.
 func (c *ResultCache) unregisterLocked(e *entry) {
 	for _, f := range e.friends {
-		keys := c.byFriend[f]
-		if keys == nil {
+		entries := c.byFriend[f]
+		if entries == nil {
 			continue
 		}
-		delete(keys, e.key)
-		if len(keys) == 0 {
+		delete(entries, e)
+		if len(entries) == 0 {
 			delete(c.byFriend, f)
 		}
 	}
@@ -286,16 +288,20 @@ func (c *ResultCache) Invalidate(userIDs []int64) {
 		if c.pending[uid] > 0 {
 			c.epochs[uid]++
 		}
-		for key := range c.byFriend[uid] {
-			s := c.shard(key)
+		for e := range c.byFriend[uid] {
+			// Every indexed entry is live: replacement and eviction
+			// unregister an entry under indexMu before it leaves its
+			// shard. The check keeps a stale index slot from ever removing
+			// the key's current entry.
+			s := c.shard(e.key)
 			s.mu.Lock()
-			e, ok := s.items[key]
-			if ok {
+			live := s.items[e.key] == e
+			if live {
 				c.removeLocked(s, e)
 			}
 			s.mu.Unlock()
-			if ok {
-				c.unregisterLocked(e)
+			c.unregisterLocked(e)
+			if live {
 				removed++
 			}
 		}

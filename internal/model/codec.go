@@ -80,14 +80,10 @@ func EncodeVisitBinaryNormalized(v *Visit) []byte {
 // tag byte. Normalized payloads yield a Visit whose POI carries only the
 // id, mirroring the JSON normalized schema.
 func DecodeVisitBinary(b []byte) (Visit, error) {
-	if len(b) < 2 {
-		return Visit{}, fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
+	tag, d, err := openVisitBinary(b)
+	if err != nil {
+		return Visit{}, err
 	}
-	tag, version := b[0], b[1]
-	if version != visitBinaryVersion {
-		return Visit{}, fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
-	}
-	d := &binReader{b: b[2:]}
 	var v Visit
 	v.UserID = d.varint()
 	v.Time = d.varint()
@@ -98,28 +94,92 @@ func DecodeVisitBinary(b []byte) (Visit, error) {
 		v.POI.Name = d.str()
 		v.POI.Lat = d.float()
 		v.POI.Lon = d.float()
-		if n := d.uvarint(); n > 0 {
-			if n > uint64(len(d.b)) {
-				d.fail("keyword count")
-			} else {
-				v.POI.Keywords = make([]string, n)
-				for i := range v.POI.Keywords {
-					v.POI.Keywords[i] = d.str()
-				}
+		if n := d.keywordCount(); n > 0 {
+			v.POI.Keywords = make([]string, n)
+			for i := range v.POI.Keywords {
+				v.POI.Keywords[i] = d.str()
 			}
 		}
 		v.POI.Hotness = d.float()
 		v.POI.Interest = d.float()
-	} else if tag != VisitBinaryTagNormalized {
-		return Visit{}, fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
 	}
-	if d.err != nil {
-		return Visit{}, d.err
-	}
-	if len(d.b) != 0 {
-		return Visit{}, fmt.Errorf("model: %d trailing bytes in binary visit", len(d.b))
+	if err := d.close(); err != nil {
+		return Visit{}, err
 	}
 	return v, nil
+}
+
+// VisitFields is the part of a visit the personalized coprocessor filters
+// and aggregates on: the POI identity, the visit's grade, the POI location
+// and whether the query keyword is among the POI's keywords.
+type VisitFields struct {
+	POIID      int64
+	Grade      float64
+	Lat, Lon   float64
+	HasKeyword bool
+}
+
+// Fields projects v onto VisitFields; HasKeyword reports whether keyword
+// is one of v.POI.Keywords.
+func (v *Visit) Fields(keyword string) VisitFields {
+	f := VisitFields{POIID: v.POI.ID, Grade: v.Grade, Lat: v.POI.Lat, Lon: v.POI.Lon}
+	for _, k := range v.POI.Keywords {
+		if k == keyword {
+			f.HasKeyword = true
+			break
+		}
+	}
+	return f
+}
+
+// SkimVisitBinary reads the VisitFields of a binary visit without
+// materializing its strings: it walks the same layout as
+// DecodeVisitBinary, compares keywords in place and allocates nothing. It
+// accepts and rejects exactly the payloads DecodeVisitBinary does, and on
+// success returns what DecodeVisitBinary(b).Fields(keyword) would.
+func SkimVisitBinary(b []byte, keyword string) (VisitFields, error) {
+	tag, d, err := openVisitBinary(b)
+	if err != nil {
+		return VisitFields{}, err
+	}
+	var f VisitFields
+	d.varint() // user id
+	d.varint() // time
+	f.Grade = d.float()
+	d.bytes() // network
+	f.POIID = d.varint()
+	if tag == VisitBinaryTagReplicated {
+		d.bytes() // POI name
+		f.Lat = d.float()
+		f.Lon = d.float()
+		for n := d.keywordCount(); n > 0; n-- {
+			if string(d.bytes()) == keyword {
+				f.HasKeyword = true
+			}
+		}
+		d.float() // hotness
+		d.float() // interest
+	}
+	if err := d.close(); err != nil {
+		return VisitFields{}, err
+	}
+	return f, nil
+}
+
+// openVisitBinary checks a binary visit's header and returns its tag and a
+// reader over the field stream.
+func openVisitBinary(b []byte) (byte, binReader, error) {
+	if len(b) < 2 {
+		return 0, binReader{}, fmt.Errorf("model: binary visit too short (%d bytes)", len(b))
+	}
+	tag, version := b[0], b[1]
+	if version != visitBinaryVersion {
+		return 0, binReader{}, fmt.Errorf("model: binary visit version %d not supported (tag 0x%02x)", version, tag)
+	}
+	if tag != VisitBinaryTagReplicated && tag != VisitBinaryTagNormalized {
+		return 0, binReader{}, fmt.Errorf("model: unknown binary visit tag 0x%02x", tag)
+	}
+	return tag, binReader{b: b[2:]}, nil
 }
 
 func appendFloat(b []byte, f float64) []byte {
@@ -175,13 +235,41 @@ func (d *binReader) float() float64 {
 	return v
 }
 
-func (d *binReader) str() string {
+// bytes returns the next length-prefixed string field as a slice of the
+// payload (nil on error).
+func (d *binReader) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil || n > uint64(len(d.b)) {
 		d.fail("string")
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	s := d.b[:n]
 	d.b = d.b[n:]
 	return s
+}
+
+func (d *binReader) str() string { return string(d.bytes()) }
+
+// keywordCount reads the keyword count, rejecting one larger than the
+// remaining bytes (each keyword takes at least its length byte) before
+// anything is sized from it.
+func (d *binReader) keywordCount() uint64 {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail("keyword count")
+		return 0
+	}
+	return n
+}
+
+// close reports the first latched error, or trailing bytes after the last
+// field.
+func (d *binReader) close() error {
+	if d.err != nil {
+		return d.err
+	}
+	if len(d.b) != 0 {
+		return fmt.Errorf("model: %d trailing bytes in binary visit", len(d.b))
+	}
+	return nil
 }

@@ -107,3 +107,60 @@ func TestIsVisitBinaryNeverMatchesJSON(t *testing.T) {
 		t.Error("empty payload misidentified as binary")
 	}
 }
+
+// sameFields compares two projections bit for bit, so NaN coordinates a
+// fuzzed payload can carry compare equal to themselves.
+func sameFields(a, b VisitFields) bool {
+	return a.POIID == b.POIID && a.HasKeyword == b.HasKeyword &&
+		math.Float64bits(a.Grade) == math.Float64bits(b.Grade) &&
+		math.Float64bits(a.Lat) == math.Float64bits(b.Lat) &&
+		math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
+}
+
+// FuzzSkimVisitBinary checks the allocation-free skim against the full
+// decoder: both accept or both reject every payload, and on acceptance the
+// skim's fields equal the decoded visit's projection for the same keyword.
+func FuzzSkimVisitBinary(f *testing.F) {
+	v := sampleVisit()
+	full := EncodeVisitBinary(&v)
+	f.Add(full, "history")
+	f.Add(full, "beach")
+	f.Add(full, "")
+	f.Add(full[:len(full)-3], "museum")
+	f.Add(EncodeVisitBinaryNormalized(&v), "museum")
+	empty := Visit{POI: POI{Keywords: []string{""}}}
+	f.Add(EncodeVisitBinary(&empty), "")
+	f.Add([]byte{VisitBinaryTagReplicated, visitBinaryVersion}, "x")
+	f.Add([]byte("{}"), "")
+	f.Fuzz(func(t *testing.T, b []byte, keyword string) {
+		got, skimErr := SkimVisitBinary(b, keyword)
+		dec, decErr := DecodeVisitBinary(b)
+		if (skimErr == nil) != (decErr == nil) {
+			t.Fatalf("skim err %v, decode err %v", skimErr, decErr)
+		}
+		if decErr != nil {
+			return
+		}
+		if want := dec.Fields(keyword); !sameFields(got, want) {
+			t.Fatalf("skim %+v, decode %+v", got, want)
+		}
+	})
+}
+
+// TestSkimVisitBinaryTruncationAndAllocs checks that the skim rejects every
+// strict prefix of both layouts, as DecodeVisitBinary does, and that it
+// allocates nothing.
+func TestSkimVisitBinaryTruncationAndAllocs(t *testing.T) {
+	v := sampleVisit()
+	for _, b := range [][]byte{EncodeVisitBinary(&v), EncodeVisitBinaryNormalized(&v)} {
+		for i := 0; i < len(b); i++ {
+			if _, err := SkimVisitBinary(b[:i], "museum"); err == nil {
+				t.Fatalf("tag 0x%02x: truncation to %d/%d bytes skimmed without error", b[0], i, len(b))
+			}
+		}
+	}
+	b := EncodeVisitBinary(&v)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = SkimVisitBinary(b, "athens") }); allocs != 0 {
+		t.Errorf("skim allocated %.0f times per call, want 0", allocs)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // concurrent use and tolerate a nil receiver, so code paths that execute
 // outside a query (background jobs, tests) need no special-casing.
 //
-// This is the platform-wide per-query collector (it started life as
-// exec.Stats; internal/exec aliases it for compatibility).
+// It lives here, not in internal/exec, so storage code can report into it
+// without importing the execution engine.
 type QueryStats struct {
 	tasks        atomic.Int64
 	goroutines   atomic.Int64

@@ -144,20 +144,20 @@ func (e *Engine) trendingFromView(ctx context.Context, v *matview.HotInView, spe
 	cost := e.clus.Config().Cost
 	var latency float64
 	var schedErr error
-	web := e.clus.PickWebServer()
-	base := e.clus.Engine().Now()
-	_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
-		_, err := web.Submit(parseDone, cost.MergeServiceTime(candidates, len(aggs)), func(done float64) {
-			latency = done - base
+	err := e.clus.Simulate(func() error {
+		web := e.clus.PickWebServer()
+		base := e.clus.Engine().Now()
+		_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
+			_, err := web.Submit(parseDone, cost.MergeServiceTime(candidates, len(aggs)), func(done float64) {
+				latency = done - base
+			})
+			if err != nil {
+				schedErr = fmt.Errorf("query: schedule view merge: %w", err)
+			}
 		})
-		if err != nil {
-			schedErr = fmt.Errorf("query: schedule view merge: %w", err)
-		}
+		return err
 	})
 	if err != nil {
-		return nil, err
-	}
-	if _, err := e.clus.Run(); err != nil {
 		return nil, err
 	}
 	if schedErr != nil {

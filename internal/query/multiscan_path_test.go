@@ -6,8 +6,12 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
+	"modissense/internal/geo"
+	"modissense/internal/kvstore"
 	"modissense/internal/repos"
+	"modissense/internal/workload"
 )
 
 // TestMultiRangePathMatchesNScanPath is the tentpole's end-to-end property:
@@ -92,5 +96,78 @@ func TestRunConcurrentDuplicateFriends(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.POIs, want.POIs) {
 		t.Errorf("duplicate friends changed results:\ngot  %+v\nwant %+v", got.POIs, want.POIs)
+	}
+}
+
+// TestSkimPathMatchesFullDecode stores the same visits once as binary rows,
+// which the coprocessor skims, and once as legacy JSON rows, which it
+// decodes fully, and requires identical per-region output for random
+// filtered specs: the aggregates, the POI document each keeps (its first
+// matching row's) and the work counters the cost model reads.
+func TestSkimPathMatchesFullDecode(t *testing.T) {
+	const users = 80
+	rng := rand.New(rand.NewSource(31))
+	pois := workload.GenPOIs(rng, 120)
+	var stores [2]*repos.VisitsRepo
+	for i := range stores {
+		r, err := repos.NewVisitsRepo(repos.SchemaReplicated, users, 8, 2, kvstore.DefaultStoreOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = r
+	}
+	stores[1].UseLegacyJSON()
+	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
+	end := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
+	for uid := int64(1); uid <= users; uid++ {
+		vs := workload.GenVisitsForUser(rng, uid, pois, start, end, 20, 4)
+		for i := range vs {
+			// Rows of one POI carry different POI documents, so the
+			// output pins which row's document an aggregate keeps.
+			vs[i].POI.Hotness = rng.Float64()
+		}
+		for _, r := range stores {
+			if err := r.StoreBatch(vs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	from, to := window()
+	greece := workload.GreeceBounds()
+	matched := 0
+	for trial := 0; trial < 12; trial++ {
+		spec := Spec{FromMillis: from, ToMillis: to, OrderBy: ByInterest}
+		for len(spec.FriendIDs) < 5+rng.Intn(50) {
+			spec.FriendIDs = append(spec.FriendIDs, 1+rng.Int63n(users))
+		}
+		if trial%2 == 0 {
+			lat := greece.MinLat + rng.Float64()*(greece.MaxLat-greece.MinLat)/2
+			lon := greece.MinLon + rng.Float64()*(greece.MaxLon-greece.MinLon)/2
+			spec.BBox = &geo.Rect{MinLat: lat, MinLon: lon, MaxLat: lat + 3, MaxLon: lon + 4}
+		}
+		if kw := pois[rng.Intn(len(pois))].Keywords; trial%3 == 0 && len(kw) > 0 {
+			spec.Keyword = kw[0]
+		}
+		friends := sortedDistinctFriends(spec.FriendIDs)
+		skimRegions, fullRegions := stores[0].Table().Regions(), stores[1].Table().Regions()
+		for ri := range skimRegions {
+			var outs [2]*regionOutput
+			for i, r := range []*kvstore.Region{skimRegions[ri], fullRegions[ri]} {
+				cp := &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated, friends: friends}
+				out, err := cp.RunRegionCtx(context.Background(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = out.(*regionOutput)
+				sort.Slice(outs[i].aggs, func(a, b int) bool { return outs[i].aggs[a].poi.ID < outs[i].aggs[b].poi.ID })
+			}
+			if !reflect.DeepEqual(outs[0], outs[1]) {
+				t.Fatalf("trial %d region %d: skimmed binary rows diverge from fully decoded JSON rows\nskim: %+v\nfull: %+v", trial, ri, outs[0], outs[1])
+			}
+			matched += outs[0].work.VisitsMatched
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no trial matched a visit")
 	}
 }

@@ -114,7 +114,7 @@ type Result struct {
 	LatencySeconds float64 `json:"latency_seconds"`
 	// Exec reports the real scatter-gather execution of this query: tasks,
 	// parallelism, rows scanned, bytes merged, wall time.
-	Exec exec.Snapshot `json:"exec"`
+	Exec obs.QuerySnapshot `json:"exec"`
 	// Work aggregates the per-region coprocessor work.
 	Work cluster.CoprocessorWork `json:"-"`
 	// Regions is the number of regions that participated.
@@ -243,6 +243,10 @@ func (cp *visitsCoprocessor) RunRegionCtx(ctx context.Context, r *kvstore.Region
 	span := obs.SpanFromContext(ctx).Child("coprocessor")
 	span.SetAttrInt("region", int64(r.ID))
 	span.SetAttrInt("node", int64(r.NodeID))
+	if span != nil {
+		// The region's store scans open their spans under this one.
+		ctx = obs.ContextWithSpan(ctx, span)
+	}
 	defer func() {
 		mCoprocLatency.ObserveDuration(time.Since(regionStart))
 		span.End()
@@ -251,29 +255,48 @@ func (cp *visitsCoprocessor) RunRegionCtx(ctx context.Context, r *kvstore.Region
 	aggs := map[int64]*poiAgg{}
 	// visitRow aggregates one scanned visit row; shared verbatim by the
 	// multi-range and N-scan paths, which is what keeps them identical.
+	// Binary replicated rows are skimmed in place: filtering and the
+	// aggregate read only VisitFields, and a row is fully decoded only when
+	// it creates its POI's aggregate, which keeps that first matching row's
+	// POI document. Legacy JSON and normalized-schema rows decode fully.
+	replicated := cp.schema == repos.SchemaReplicated
 	visitRow := func(row kvstore.RowResult) bool {
 		raw, ok := row.Get(repos.VisitQualifier)
 		if !ok {
 			return true
 		}
 		out.work.RowsScanned++
-		v, err := repos.DecodeVisit(cp.schema, raw)
+		var v model.Visit
+		var f model.VisitFields
+		var err error
+		skimmed := replicated && model.IsVisitBinary(raw)
+		if skimmed {
+			f, err = model.SkimVisitBinary(raw, cp.spec.Keyword)
+		} else if v, err = repos.DecodeVisit(cp.schema, raw); err == nil {
+			f = v.Fields(cp.spec.Keyword)
+		}
 		if err != nil {
 			return true // skip undecodable rows; accounted as scanned
 		}
 		// Under the replicated schema every predicate evaluates right
 		// here; the normalized schema can only filter by time and must
 		// ship every aggregate to the web server for the join.
-		if cp.schema == repos.SchemaReplicated && !cp.matches(&v) {
+		if replicated && !cp.matches(&f) {
 			return true
 		}
-		out.work.VisitsMatched++
-		a := aggs[v.POI.ID]
+		a := aggs[f.POIID]
 		if a == nil {
+			if skimmed {
+				// The skim accepted raw, so the full decode does too.
+				if v, err = model.DecodeVisitBinary(raw); err != nil {
+					return true
+				}
+			}
 			a = &poiAgg{poi: v.POI}
-			aggs[v.POI.ID] = a
+			aggs[f.POIID] = a
 		}
-		a.gradeSum += v.Grade
+		out.work.VisitsMatched++
+		a.gradeSum += f.Grade
 		a.visits++
 		return true
 	}
@@ -324,23 +347,11 @@ func (cp *visitsCoprocessor) RunRegionCtx(ctx context.Context, r *kvstore.Region
 }
 
 // matches evaluates the spatial/keyword predicates on a replicated visit.
-func (cp *visitsCoprocessor) matches(v *model.Visit) bool {
-	if cp.spec.BBox != nil && !cp.spec.BBox.Contains(v.POI.Point()) {
+func (cp *visitsCoprocessor) matches(f *model.VisitFields) bool {
+	if cp.spec.BBox != nil && !cp.spec.BBox.Contains(geo.Point{Lat: f.Lat, Lon: f.Lon}) {
 		return false
 	}
-	if cp.spec.Keyword != "" {
-		found := false
-		for _, k := range v.POI.Keywords {
-			if k == cp.spec.Keyword {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return cp.spec.Keyword == "" || f.HasKeyword
 }
 
 // aggLess is the strict total order of the final ranking: score (or visit
@@ -453,7 +464,6 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cost := e.clus.Config().Cost
 	results := make([]*Result, len(specs))
 	plans := make([]*queryPlan, len(specs))
 
@@ -568,12 +578,40 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 
 	// Phase 2: schedule all queries as simultaneous arrivals at the current
 	// simulation clock (the cluster may have served earlier work, so
-	// latencies are measured relative to this batch's arrival time).
+	// latencies are measured relative to this batch's arrival time) and run
+	// the simulation, serialized with every other user of the cluster.
 	// Scheduling in the past is a bug in the cost model, but a buggy cost
 	// model must fail the query, not crash the process: callback errors are
 	// collected and reported after the simulation drains.
 	var schedErr error
 	fail := func(err error) { schedErr = errors.Join(schedErr, err) }
+	if err := e.clus.Simulate(func() error { return e.scheduleBatch(plans, results, fail) }); err != nil {
+		return nil, err
+	}
+	if schedErr != nil {
+		return nil, schedErr
+	}
+	for qi, r := range results {
+		if r.LatencySeconds <= 0 {
+			return nil, fmt.Errorf("query: query %d never completed in simulation", qi)
+		}
+	}
+	// Stamp the write-availability advisory once per batch: clients polling
+	// with queries learn a primary cutover is pending without issuing a
+	// write probe.
+	if e.visits.Table().FailoverInProgress() {
+		for _, r := range results {
+			r.FailoverInProgress = true
+		}
+	}
+	return results, nil
+}
+
+// scheduleBatch submits a batch's queries to the simulated cluster; the
+// callbacks fill each result's LatencySeconds as the simulation runs and
+// report scheduling errors to fail. Called inside Cluster.Simulate.
+func (e *Engine) scheduleBatch(plans []*queryPlan, results []*Result, fail func(error)) error {
+	cost := e.clus.Config().Cost
 	base := e.clus.Engine().Now()
 	for qi, plan := range plans {
 		qi, plan := qi, plan
@@ -591,7 +629,7 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 				}
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -646,29 +684,10 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 			}
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if _, err := e.clus.Run(); err != nil {
-		return nil, err
-	}
-	if schedErr != nil {
-		return nil, schedErr
-	}
-	for qi, r := range results {
-		if r.LatencySeconds <= 0 {
-			return nil, fmt.Errorf("query: query %d never completed in simulation", qi)
-		}
-	}
-	// Stamp the write-availability advisory once per batch: clients polling
-	// with queries learn a primary cutover is pending without issuing a
-	// write probe.
-	if e.visits.Table().FailoverInProgress() {
-		for _, r := range results {
-			r.FailoverInProgress = true
-		}
-	}
-	return results, nil
+	return nil
 }
 
 // merge combines region aggregates into the final ranking. Under the
@@ -677,7 +696,7 @@ func (e *Engine) RunConcurrent(ctx context.Context, specs []Spec) ([]*Result, er
 // Limit the ranking streams through a bounded heap (O(n log k)); otherwise
 // it falls back to the exact full sort, which doubles as the oracle the
 // property tests compare the heap against.
-func (e *Engine) merge(plan *queryPlan, stats *exec.Stats) ([]ScoredPOI, cluster.CoprocessorWork) {
+func (e *Engine) merge(plan *queryPlan, stats *obs.QueryStats) ([]ScoredPOI, cluster.CoprocessorWork) {
 	var work cluster.CoprocessorWork
 	byPOI := map[int64]*poiAgg{}
 	for _, out := range plan.outputs {
@@ -764,25 +783,25 @@ func (e *Engine) NonPersonalized(ctx context.Context, spec repos.SearchSpec) ([]
 	var latency float64
 	var schedErr error
 	fail := func(err error) { schedErr = errors.Join(schedErr, err) }
-	web := e.clus.PickWebServer()
-	base := e.clus.Engine().Now()
-	_, err = web.Submit(base, cost.WebParse, func(parseDone float64) {
-		_, err := e.clus.PG().Submit(parseDone+cost.RPC, cost.RelationalServiceTime(examined), func(pgDone float64) {
-			_, err := web.Submit(pgDone+cost.RPC, cost.MergeServiceTime(len(pois), len(pois)), func(done float64) {
-				latency = done - base
+	err = e.clus.Simulate(func() error {
+		web := e.clus.PickWebServer()
+		base := e.clus.Engine().Now()
+		_, err := web.Submit(base, cost.WebParse, func(parseDone float64) {
+			_, err := e.clus.PG().Submit(parseDone+cost.RPC, cost.RelationalServiceTime(examined), func(pgDone float64) {
+				_, err := web.Submit(pgDone+cost.RPC, cost.MergeServiceTime(len(pois), len(pois)), func(done float64) {
+					latency = done - base
+				})
+				if err != nil {
+					fail(fmt.Errorf("query: schedule response: %w", err))
+				}
 			})
 			if err != nil {
-				fail(fmt.Errorf("query: schedule response: %w", err))
+				fail(fmt.Errorf("query: schedule relational lookup: %w", err))
 			}
 		})
-		if err != nil {
-			fail(fmt.Errorf("query: schedule relational lookup: %w", err))
-		}
+		return err
 	})
 	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := e.clus.Run(); err != nil {
 		return nil, 0, err
 	}
 	if schedErr != nil {

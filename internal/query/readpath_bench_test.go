@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"modissense/internal/geo"
 	"modissense/internal/kvstore"
 	"modissense/internal/repos"
 	"modissense/internal/workload"
@@ -92,4 +93,72 @@ func BenchmarkCoprocessor200FriendsNScanJSON(b *testing.B) {
 
 func BenchmarkCoprocessor200FriendsMultiBinary(b *testing.B) {
 	benchCoprocessor(b, 200, false, false)
+}
+
+// BenchmarkCoprocessorSegments is the 200-friend coprocessor over flushed
+// segments, the storage shape of the search_scan workload: 4000 users in
+// 16 regions with 128 KiB memtables, every row flushed into blocks, and a
+// 2 MiB block cache a fraction of the segments' size. Each iteration runs
+// the next of 16 fresh 200-friend specs, half with a bounding box and a
+// quarter with a keyword, so most blocks a scan reads must be decoded
+// again, unlike the memtable-only benchmarks above.
+func BenchmarkCoprocessorSegments(b *testing.B) {
+	const users, friends = 4000, 200
+	opts := kvstore.DefaultStoreOptions()
+	opts.FlushThresholdBytes = 128 << 10
+	opts.BlockCache = kvstore.NewBlockCache(2 << 20)
+	visits, err := repos.NewVisitsRepo(repos.SchemaReplicated, users, 16, 4, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	pois := workload.GenPOIs(rng, 800)
+	start := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
+	end := time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
+	for uid := int64(1); uid <= users; uid++ {
+		if err := visits.StoreBatch(workload.GenVisitsForUser(rng, uid, pois, start, end, 10, 2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	regions := visits.Table().Regions()
+	for _, r := range regions {
+		if err := r.Store().Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	from, to := window()
+	greece := workload.GreeceBounds()
+	box := &geo.Rect{MinLat: greece.MinLat, MinLon: greece.MinLon,
+		MaxLat: (greece.MinLat + greece.MaxLat) / 2, MaxLon: (greece.MinLon + greece.MaxLon) / 2}
+	cps := make([]*visitsCoprocessor, 16)
+	for i := range cps {
+		spec := Spec{FromMillis: from, ToMillis: to, OrderBy: ByInterest}
+		for _, f := range rng.Perm(users)[:friends] {
+			spec.FriendIDs = append(spec.FriendIDs, int64(f+1))
+		}
+		if i%2 == 0 {
+			spec.BBox = box
+		}
+		if i%4 == 0 {
+			spec.Keyword = pois[i].Keywords[0]
+		}
+		cps[i] = &visitsCoprocessor{spec: &spec, schema: repos.SchemaReplicated, friends: sortedDistinctFriends(spec.FriendIDs)}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cp := cps[i%len(cps)]
+		rows := 0
+		for _, r := range regions {
+			out, err := cp.RunRegionCtx(ctx, r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += out.(*regionOutput).work.RowsScanned
+		}
+		if rows == 0 {
+			b.Fatal("benchmark query scanned no visits")
+		}
+	}
 }
